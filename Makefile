@@ -10,8 +10,12 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# The benchmark harness is a module of its own (perfbench/go.mod), so
+# the root ./... never enters it; its tests check that the per-layer
+# replay matches direct simulation.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race -short ./...

@@ -124,6 +124,29 @@ type Stats struct {
 	PrefetchLate       uint64 // demand loads that caught their prefetch in flight
 }
 
+// Sub returns the events counted since prev, an earlier snapshot of the
+// same counters: the statistics of a measurement window.
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{
+		L1DHits:           s.L1DHits - prev.L1DHits,
+		L1DMisses:         s.L1DMisses - prev.L1DMisses,
+		L1IHits:           s.L1IHits - prev.L1IHits,
+		L1IMisses:         s.L1IMisses - prev.L1IMisses,
+		StreamBufHits:     s.StreamBufHits - prev.StreamBufHits,
+		L2Hits:            s.L2Hits - prev.L2Hits,
+		L2Misses:          s.L2Misses - prev.L2Misses,
+		L1Transfers:       s.L1Transfers - prev.L1Transfers,
+		CohTransfers:      s.CohTransfers - prev.CohTransfers,
+		MemAccesses:       s.MemAccesses - prev.MemAccesses,
+		Upgrades:          s.Upgrades - prev.Upgrades,
+		PortQueueCycles:   s.PortQueueCycles - prev.PortQueueCycles,
+		BackInvalidations: s.BackInvalidations - prev.BackInvalidations,
+		Prefetches:        s.Prefetches - prev.Prefetches,
+		PrefetchHits:      s.PrefetchHits - prev.PrefetchHits,
+		PrefetchLate:      s.PrefetchLate - prev.PrefetchLate,
+	}
+}
+
 // L2MissRate returns misses / (hits+misses), or 0 when idle.
 func (s *Stats) L2MissRate() float64 {
 	t := s.L2Hits + s.L2Misses

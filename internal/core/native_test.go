@@ -241,19 +241,11 @@ func TestNativeSpeedupGate(t *testing.T) {
 			break
 		}
 	}
-	t.Logf("q6 compiled+sel vs interpreted @1 worker: %.2fx (%.0f vs %.0f rows/sec)",
-		compiledX, copy1.RowsPerSec, interp.RowsPerSec)
-	if compiledX < 1.5 {
-		t.Fatalf("compiled fast path %.2fx < 1.5x gate", compiledX)
-	}
-	t.Logf("q6 zero-copy vs interpreted @1 worker: %.2fx (%.1f GB/s)", borrowVsInterpX, borrow1.GBPerSec)
-	if borrowVsInterpX < 1.9 {
-		t.Fatalf("zero-copy %.2fx < 1.9x-over-interpreted gate", borrowVsInterpX)
-	}
-	t.Logf("q6 zero-copy vs copy @1 worker: %.2fx", borrowX)
-	if borrowX < 1.25 {
-		t.Fatalf("zero-copy %.2fx < 1.25x-over-copy gate", borrowX)
-	}
+	t.Logf("q6 @1 worker: compiled+sel %.0f rows/sec, interpreted %.0f rows/sec, zero-copy %.1f GB/s",
+		copy1.RowsPerSec, interp.RowsPerSec, borrow1.GBPerSec)
+	gateAtLeast(t, "q6_compiled_vs_interpreted_x", compiledX, 1.5)
+	gateAtLeast(t, "q6_zero_copy_vs_interpreted_x", borrowVsInterpX, 1.9)
+	gateAtLeast(t, "q6_zero_copy_vs_copy_x", borrowX, 1.25)
 
 	// Q13's gate point is the full fast path — compiled join kernels over
 	// borrowed scans — against interpreted. Both flavors still land in the
@@ -275,10 +267,7 @@ func TestNativeSpeedupGate(t *testing.T) {
 			break
 		}
 	}
-	t.Logf("q13 compiled join kernels (zero-copy) vs interpreted @1 worker: %.2fx", joinX)
-	if joinX < 1.3 {
-		t.Fatalf("compiled join fast path %.2fx < 1.3x gate", joinX)
-	}
+	gateAtLeast(t, "q13_join_kernels_vs_interpreted_x", joinX, 1.3)
 
 	// Q13 join-mode gate: at full scale the cache-conscious modes must
 	// each beat the chained native path by ≥ 1.15× on the borrowed fast
@@ -318,13 +307,8 @@ func TestNativeSpeedupGate(t *testing.T) {
 			break
 		}
 	}
-	t.Logf("q13 partitioned vs chained @1 worker: %.2fx; prefetch vs chained: %.2fx", partX, prefX)
-	if partX < 1.15 {
-		t.Fatalf("partitioned join %.2fx < 1.15x-over-chained gate", partX)
-	}
-	if prefX < 1.15 {
-		t.Fatalf("prefetch join %.2fx < 1.15x-over-chained gate", prefX)
-	}
+	gateAtLeast(t, "q13_partitioned_vs_chained_x", partX, 1.15)
+	gateAtLeast(t, "q13_prefetch_vs_chained_x", prefX, 1.15)
 
 	// The simulated clock must agree with the paper's mechanism, not just
 	// the wall clock: Q13's partitioned build/probe shows a strictly
@@ -348,17 +332,28 @@ func TestNativeSpeedupGate(t *testing.T) {
 		return float64(s.DStallL2+s.DStallMem) / float64(s.Busy)
 	}
 	chF, paF := dfrac(simCh), dfrac(simPa)
-	t.Logf("q13 simulated D-stall fraction: chained %.4f, partitioned %.4f", chF, paF)
 	if paF >= chF {
-		t.Fatalf("partitioned D-stall fraction %.4f not strictly below chained %.4f", paF, chF)
+		t.Fatalf("FAIL q13_partitioned_dstall_frac=%.4f (bound < chained %.4f)", paF, chF)
 	}
+	t.Logf("PASS q13_partitioned_dstall_frac=%.4f (bound < chained %.4f)", paF, chF)
 
+	// Only this assertion depends on the host's CPU count; a smaller host
+	// logs it as skipped and keeps the verdict of every gate above.
 	scalingX := float64(borrow1.Nanos) / float64(borrow4.Nanos)
 	t.Logf("q6 zero-copy scaling @4 workers: %.2fx on %d host CPUs", scalingX, runtime.NumCPU())
 	if runtime.NumCPU() < 4 {
-		t.Skipf("host has %d CPUs; skipping the 4-worker scaling gate", runtime.NumCPU())
+		t.Logf("SKIP q6 4-worker scaling (host has %d CPUs, needs 4)", runtime.NumCPU())
+		return
 	}
-	if scalingX < 2.5 {
-		t.Fatalf("4-worker scaling %.2fx < 2.5x gate", scalingX)
+	gateAtLeast(t, "q6_zero_copy_scaling_4w_x", scalingX, 2.5)
+}
+
+// gateAtLeast logs "PASS <metric>=<value> (bound <b>)" when value meets
+// the lower bound b, and fails the test with the same figures otherwise.
+func gateAtLeast(t *testing.T, metric string, value, bound float64) {
+	t.Helper()
+	if value < bound {
+		t.Fatalf("FAIL %s=%.3f (bound %.2f)", metric, value, bound)
 	}
+	t.Logf("PASS %s=%.3f (bound %.2f)", metric, value, bound)
 }

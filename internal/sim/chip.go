@@ -8,16 +8,23 @@ import (
 	"repro/internal/trace"
 )
 
-// coreModel is one simulated core advancing cycle by cycle.
+// coreModel is one simulated core. Chip.Run steps a core only on cycles
+// where it can change state, and charges the cycles in between in bulk.
 type coreModel interface {
 	// step simulates one cycle, returning the number of instructions
-	// issued and, when zero, the classification of the lost cycle.
+	// issued and, when zero, the classification of the lost cycle. A core
+	// with no software thread returns KindIdle.
 	step(now uint64) (int, StallKind)
-	// hasWork reports whether any software thread is bound to the core.
-	hasWork() bool
+	// quiet, called right after step(now), returns the first later cycle
+	// at which step could do anything other than return kind with no
+	// state change (never, for a core with no thread).
+	quiet(now uint64) (wake uint64, kind StallKind)
 	// contexts exposes the core's hardware contexts for thread placement.
 	contexts() []*hwctx
 }
+
+// never is the wake cycle of a core that no cycle can change.
+const never = ^uint64(0)
 
 // Chip is one simulated chip multiprocessor (or, with a private-L2
 // hierarchy, one node-per-core SMP): cores plus memory hierarchy plus the
@@ -205,54 +212,69 @@ func (ch *Chip) Warm(refs int) {
 // returns the measured result. It stops early when every thread's trace
 // has been fully executed. Statistics cover only this measurement window,
 // so Warm → Run yields a warmed measurement.
+//
+// Run is event-driven: each core is stepped only at its wake cycle (the
+// next cycle at which it can issue or change state, per coreModel.quiet),
+// in core-index order within a cycle, and the clock jumps to the earliest
+// wake. The cycles a core skips are charged to the stall kind step would
+// have returned on each of them, so the result is identical to stepping
+// every core every cycle (the tests hold Run to such a stepped oracle).
 func (ch *Chip) Run(maxCycles uint64) Result {
-	start := ch.now
-	statsStart := ch.hier.Stats
+	start, statsStart := ch.now, ch.hier.Stats
+	end := start + maxCycles
+	if end < start {
+		end = never
+	}
 	var bd Breakdown
 	var instructions uint64
-
-	for ch.now-start < maxCycles && ch.live > 0 {
-		for _, c := range ch.cores {
-			if !c.hasWork() {
-				bd.Add(KindIdle)
-				continue
-			}
-			issued, kind := c.step(ch.now)
-			if issued > 0 {
-				instructions += uint64(issued)
-				bd.Add(KindComp)
-			} else {
-				bd.Add(kind)
-			}
-		}
-		ch.now++
+	// Per core: the next cycle to step it, the first cycle not yet
+	// charged, and the stall kind charged for the cycles in between.
+	// Every core is stepped on the first cycle, since threads may have
+	// been added or warmed since the last Run.
+	wake := make([]uint64, len(ch.cores))
+	from := make([]uint64, len(ch.cores))
+	kind := make([]StallKind, len(ch.cores))
+	for i := range ch.cores {
+		wake[i], from[i] = ch.now, ch.now
 	}
+	for ch.now < end && ch.live > 0 {
+		next := never
+		for i, c := range ch.cores {
+			if wake[i] <= ch.now {
+				bd.Cycles[kind[i]] += ch.now - from[i]
+				issued, k := c.step(ch.now)
+				if issued > 0 {
+					instructions += uint64(issued)
+					k = KindComp
+				}
+				bd.Add(k)
+				wake[i], kind[i] = c.quiet(ch.now)
+				from[i] = ch.now + 1
+			}
+			next = min(next, wake[i])
+		}
+		if ch.live == 0 {
+			// The last thread retired: the run ends with this cycle.
+			next = ch.now + 1
+		}
+		ch.now = min(next, end)
+	}
+	for i := range ch.cores {
+		bd.Cycles[kind[i]] += ch.now - from[i]
+	}
+	return ch.result(start, statsStart, bd, instructions)
+}
 
-	stats := ch.hier.Stats
-	stats.L1DHits -= statsStart.L1DHits
-	stats.L1DMisses -= statsStart.L1DMisses
-	stats.L1IHits -= statsStart.L1IHits
-	stats.L1IMisses -= statsStart.L1IMisses
-	stats.StreamBufHits -= statsStart.StreamBufHits
-	stats.L2Hits -= statsStart.L2Hits
-	stats.L2Misses -= statsStart.L2Misses
-	stats.L1Transfers -= statsStart.L1Transfers
-	stats.CohTransfers -= statsStart.CohTransfers
-	stats.MemAccesses -= statsStart.MemAccesses
-	stats.Upgrades -= statsStart.Upgrades
-	stats.PortQueueCycles -= statsStart.PortQueueCycles
-	stats.BackInvalidations -= statsStart.BackInvalidations
-	stats.Prefetches -= statsStart.Prefetches
-	stats.PrefetchHits -= statsStart.PrefetchHits
-	stats.PrefetchLate -= statsStart.PrefetchLate
-
+// result packages the measurement window that began at cycle start, when
+// the hierarchy's counters read statsStart.
+func (ch *Chip) result(start uint64, statsStart cache.Stats, bd Breakdown, instructions uint64) Result {
 	done := make([]uint64, len(ch.doneAt))
 	copy(done, ch.doneAt)
 	return Result{
 		Cycles:       ch.now - start,
 		Instructions: instructions,
 		Breakdown:    bd,
-		Cache:        stats,
+		Cache:        ch.hier.Stats.Sub(statsStart),
 		ThreadDone:   done,
 	}
 }

@@ -37,7 +37,7 @@ type fcMiss struct {
 
 func (c *fcCore) contexts() []*hwctx { return []*hwctx{c.ctx} }
 
-func (c *fcCore) hasWork() bool { return len(c.ctx.threads) > 0 }
+func (c *fcCore) quiet(now uint64) (uint64, StallKind) { return c.ctx.quiet(now) }
 
 // retire drops completed misses.
 func (c *fcCore) retire(now uint64) {

@@ -20,13 +20,21 @@ type lcCore struct {
 
 func (c *lcCore) contexts() []*hwctx { return c.ctxs }
 
-func (c *lcCore) hasWork() bool {
+// quiet returns the earliest wake of the core's contexts. Until then
+// every context is blocked, so step charges the cause of the context that
+// unblocks first (the first one on ties), exactly as its all-blocked
+// branch does.
+func (c *lcCore) quiet(now uint64) (uint64, StallKind) {
+	wake, kind := never, KindIdle
+	first := never
 	for _, ctx := range c.ctxs {
-		if len(ctx.threads) > 0 {
-			return true
+		w, _ := ctx.quiet(now)
+		wake = min(wake, w)
+		if len(ctx.threads) > 0 && ctx.blockedUntil < first {
+			first, kind = ctx.blockedUntil, ctx.blockCause
 		}
 	}
-	return false
+	return wake, kind
 }
 
 // step simulates one cycle and returns issued instruction count and, when

@@ -20,6 +20,14 @@
 // to computation, an instruction-stall level, a data-stall level, or other
 // (branch/scheduling) stalls, yielding the execution-time breakdowns of
 // Figures 5–7.
+//
+// The simulator is cycle-accurate but event-driven. Database cores spend
+// most cycles stalled on misses whose completion cycle is known when they
+// issue, so Chip.Run steps a core only at its wake cycle — the next cycle
+// at which it can issue or change state — and charges the cycles it
+// skipped to their stall kind in one add. Results are identical to
+// stepping every core every cycle; that stepped loop is kept as a
+// test-only oracle, and a differential test holds Run to it.
 package sim
 
 import (

@@ -139,6 +139,30 @@ func (c *hwctx) block(until uint64, cause StallKind) {
 	}
 }
 
+// quiet returns the first cycle after now at which the context can issue
+// or change state, and the stall it reports until then; an empty context
+// never wakes. Called after the owning core's step(now), it wakes for a
+// context runnable at now+1, for a finished thread (removeFinished stamps
+// its completion on the next step), and at the next quantum expiry of a
+// shared context, since maybeSwitch may shorten the current block.
+func (c *hwctx) quiet(now uint64) (uint64, StallKind) {
+	if len(c.threads) == 0 {
+		return never, KindIdle
+	}
+	if c.blockedUntil <= now+1 {
+		return now + 1, c.blockCause
+	}
+	for _, t := range c.threads {
+		if t.finished() {
+			return now + 1, c.blockCause
+		}
+	}
+	if len(c.threads) > 1 {
+		return min(c.blockedUntil, c.nextSwitch), c.blockCause
+	}
+	return c.blockedUntil, c.blockCause
+}
+
 // runnable reports whether the context can issue at cycle now.
 func (c *hwctx) runnable(now uint64) bool {
 	return len(c.threads) > 0 && now >= c.blockedUntil
