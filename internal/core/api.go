@@ -378,11 +378,17 @@ type Result struct {
 
 // Run executes one unified request: it applies defaults, validates, runs
 // the mode's paired measurement on identical chip geometry, and returns
-// the typed result. DSS comparison sides are measured twice and the
-// faster run kept (live trace production makes a descheduled goroutine
-// look slow); staged-oltp digests are checked byte-identical against the
-// monolithic reference. ctx cancels between sub-runs (a simulated run in
-// flight is not interrupted).
+// the typed result. Every side is simulated once. The chip pulls each
+// thread's trace at simulated pace, blocking on a producer that falls
+// behind, so a descheduled goroutine cannot stretch a side's cycles.
+// Sides whose threads share no work (both vec-dss sides, the unshared
+// shared-dss side, 1-worker parallel-dss) are a pure function of their
+// traces and repeat bit for bit (TestDSSSidesRepeat). Sides whose morsel
+// claims or shared-scan attach points follow host timing (the shared
+// side, multi-worker parallel-dss) vary run to run; one run reports one
+// sample of that spread. staged-oltp digests are checked byte-identical
+// against the monolithic reference. ctx cancels between sub-runs (a
+// simulated run in flight is not interrupted).
 func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	req = req.WithDefaults()
 	if err := req.Validate(); err != nil {
@@ -430,18 +436,7 @@ func (r *Runner) runVecPair(ctx context.Context, req Request, res *Result) error
 		if err := ctx.Err(); err != nil {
 			return VecDSSResult{}, err
 		}
-		best, err := r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
-		if err != nil {
-			return best, err
-		}
-		again, err := r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
-		if err != nil {
-			return best, err
-		}
-		if again.Cycles < best.Cycles {
-			best = again
-		}
-		return best, nil
+		return r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
 	}
 	row, err := measure(false)
 	if err != nil {
@@ -486,18 +481,7 @@ func (r *Runner) runSharedPair(ctx context.Context, req Request, res *Result) er
 		if err := ctx.Err(); err != nil {
 			return SharedDSSResult{}, err
 		}
-		best, err := r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
-		if err != nil {
-			return best, err
-		}
-		again, err := r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
-		if err != nil {
-			return best, err
-		}
-		if again.Cycles < best.Cycles {
-			best = again
-		}
-		return best, nil
+		return r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
 	}
 	un, err := measure(false)
 	if err != nil {
@@ -541,24 +525,17 @@ func (r *Runner) runParallelSweep(ctx context.Context, req Request, res *Result)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		best, err := r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
+		run, err := r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
 		if err != nil {
 			return err
-		}
-		again, err := r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
-		if err != nil {
-			return err
-		}
-		if again.Cycles < best.Cycles {
-			best = again
 		}
 		res.Sweep = append(res.Sweep, Side{
-			Label: fmt.Sprintf("parallel-%d", n), Cycles: best.Cycles,
-			Result: best.Result, Rows: best.Rows, Digest: best.Digest, Workers: n,
+			Label: fmt.Sprintf("parallel-%d", n), Cycles: run.Cycles,
+			Result: run.Result, Rows: run.Rows, Digest: run.Digest, Workers: n,
 		})
 		if req.Trace {
 			// The morsel-driven executor has no span plumbing yet.
-			res.Traces = append(res.Traces, syntheticRun(fmt.Sprintf("parallel-%d", n), best.Cycles))
+			res.Traces = append(res.Traces, syntheticRun(fmt.Sprintf("parallel-%d", n), run.Cycles))
 		}
 	}
 	res.Baseline = res.Sweep[0]

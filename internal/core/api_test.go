@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -100,9 +101,9 @@ func TestStagedOptsValidate(t *testing.T) {
 
 // TestRunVecGolden checks that the unified entry point reproduces the
 // legacy vec-dss execution byte-for-byte: same result rows, same typed
-// row digests as direct RunVecDSS calls on the same cell. (Cycles are
-// not asserted — live trace production makes them host-timing
-// sensitive, which is why Run keeps the faster of two runs.)
+// row digests, and the same simulation (each side is simulated once, and
+// a serial side is a pure function of its trace) as direct RunVecDSS
+// calls on the same cell.
 func TestRunVecGolden(t *testing.T) {
 	cell := DefaultModeCell(ModeVecDSS, sim.FatCamp)
 	res, err := sharedRunner.Run(context.Background(), Request{Mode: ModeVecDSS, Query: 6, Cell: &cell})
@@ -124,6 +125,10 @@ func TestRunVecGolden(t *testing.T) {
 	if res.Main.Digest != vec.Digest || res.Main.Rows != vec.Rows {
 		t.Errorf("main digest %#x (%d rows) vs legacy vec %#x (%d rows)",
 			res.Main.Digest, res.Main.Rows, vec.Digest, vec.Rows)
+	}
+	if !reflect.DeepEqual(res.Baseline.Result, row.Result) || !reflect.DeepEqual(res.Main.Result, vec.Result) {
+		t.Errorf("simulation differs from direct runs: cycles row %d vs %d, vec %d vs %d",
+			res.Baseline.Cycles, row.Cycles, res.Main.Cycles, vec.Cycles)
 	}
 	if res.Digest != res.Main.Digest {
 		t.Errorf("Result.Digest %#x != Main.Digest %#x", res.Digest, res.Main.Digest)

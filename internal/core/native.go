@@ -103,8 +103,10 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 	for w := range ctxs {
 		ctxs[w] = h.DB.NewCtx(nil, 90+w, nativeWorkBytes)
 	}
-	// Collect before timing: earlier sweeps' worker arenas (64 MB each)
-	// otherwise linger on the heap and GC assists tax the timed runs.
+	// Every run below joins its workers before returning.
+	defer releaseWork(ctxs)
+	// Collect before timing: garbage left by earlier runs otherwise
+	// lingers on the heap and GC assists tax the timed runs.
 	runtime.GC()
 
 	// Each point is three untimed warmups (page in the scan range, size

@@ -232,6 +232,7 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 		}
 	}
 	wg.Wait()
+	releaseWork(ctxs)
 	if runErr != nil {
 		return StagedOLTPResult{}, fmt.Errorf("core: staged OLTP (cohorted=%v parts=%d): %w", cohorted, parts, runErr)
 	}

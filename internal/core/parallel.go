@@ -115,6 +115,7 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 		}
 	}
 	wg.Wait()
+	releaseWork(ctxs)
 	if runErr != nil {
 		return ParallelDSSResult{}, fmt.Errorf("core: parallel q%d x%d: %w", q, workers, runErr)
 	}

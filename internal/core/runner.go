@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -94,6 +95,15 @@ func (r *Runner) TPCH() (*workload.TPCH, error) {
 		r.tpch = h
 	}
 	return r.tpch, nil
+}
+
+// releaseWork returns the contexts' workspace backings for reuse by the
+// next run's NewCtx. Callers own the contexts and call it once every
+// goroutine that used them has returned.
+func releaseWork(ctxs []*engine.Ctx) {
+	for _, c := range ctxs {
+		c.Work.Release()
+	}
 }
 
 // oltpWork tracks per-client transaction counts for work accounting.

@@ -131,6 +131,7 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 
 	var env *workload.ShareEnv
 	var prodRecs []*trace.Recorder
+	var prodWork []*engine.Ctx // every producer context, for release
 	if shared {
 		prodCtxs := make(map[string][]*engine.Ctx)
 		slot := 64 + clients
@@ -144,6 +145,7 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 				slot++
 			}
 			prodCtxs[tbl] = ws
+			prodWork = append(prodWork, ws...)
 		}
 		env = h.NewShareEnvWith(share.Config{
 			ProducerWorkers: sharedProducerWorkers,
@@ -220,6 +222,8 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		}
 	}
 	wg.Wait()
+	releaseWork(ctxs)
+	releaseWork(prodWork)
 
 	out := SharedDSSResult{Camp: cell.Camp, Query: q, Clients: clients, Shared: shared, Result: simRes}
 	dh := fnv.New64a()

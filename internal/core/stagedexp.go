@@ -121,18 +121,26 @@ func (r *Runner) StagedExperiment(rows int) ([]StagedResult, error) {
 		out = append(out, res)
 	}
 
+	// Modes 3 and 4 drive the same pool. The sink's hash table lives in a
+	// context of its own: the consumers fold rows into it under the
+	// pipeline's sink lock while allocating their own packets lock-free,
+	// so it must not share a consumer's arena.
+	pool := func(ctxs []*engine.Ctx) (int, error) {
+		sink := et.db.NewCtx(nil, 32+len(ctxs), 64<<20)
+		defer sink.Work.Release() // RunParallel joins its workers
+		src, preds := stagedPlan(et, rows)
+		pl := &staged.Pipeline{
+			DB:     et.db,
+			Source: src,
+			Stages: []staged.Stage{staged.FilterStage(et.db, lineitem.Schema, preds)},
+			Sink:   r.stagedSink(sink, et),
+		}
+		return pl.RunParallel(ctxs)
+	}
+
 	// Mode 3: staged pool (source + two consumers) on three FC cores.
 	{
-		res, err := r.stagedRun("staged-parallel", sim.FatCamp, func(ctxs []*engine.Ctx) (int, error) {
-			src, preds := stagedPlan(et, rows)
-			pl := &staged.Pipeline{
-				DB:     et.db,
-				Source: src,
-				Stages: []staged.Stage{staged.FilterStage(et.db, lineitem.Schema, preds)},
-				Sink:   r.stagedSink(ctxs[2], et),
-			}
-			return pl.RunParallel(ctxs)
-		}, 3, nil)
+		res, err := r.stagedRun("staged-parallel", sim.FatCamp, pool, 3, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -144,16 +152,7 @@ func (r *Runner) StagedExperiment(rows int) ([]StagedResult, error) {
 	// co-location lever, applied to the pool's workers).
 	{
 		placement := []int{0, 4, 8} // contexts 0,1,2 of core 0 (4-core LC)
-		res, err := r.stagedRun("staged-colocated", sim.LeanCamp, func(ctxs []*engine.Ctx) (int, error) {
-			src, preds := stagedPlan(et, rows)
-			pl := &staged.Pipeline{
-				DB:     et.db,
-				Source: src,
-				Stages: []staged.Stage{staged.FilterStage(et.db, lineitem.Schema, preds)},
-				Sink:   r.stagedSink(ctxs[2], et),
-			}
-			return pl.RunParallel(ctxs)
-		}, 3, placement)
+		res, err := r.stagedRun("staged-colocated", sim.LeanCamp, pool, 3, placement)
 		if err != nil {
 			return nil, err
 		}
@@ -213,6 +212,7 @@ func (r *Runner) stagedRun(mode string, camp sim.Camp, fn func([]*engine.Ctx) (i
 		}
 	}
 	wg.Wait()
+	releaseWork(ctxs)
 	if runErr != nil {
 		return StagedResult{}, fmt.Errorf("core: staged mode %s: %w", mode, runErr)
 	}

@@ -96,6 +96,7 @@ func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode .
 		}
 	}
 	wg.Wait()
+	ctx.Work.Release()
 	if runErr != nil {
 		return VecDSSResult{}, fmt.Errorf("core: vec DSS q%d: %w", q, runErr)
 	}

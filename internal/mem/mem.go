@@ -39,19 +39,72 @@ const (
 // Arena is a bump allocator over a contiguous range of the simulated
 // address space, backed by real host memory so the engine can store and
 // retrieve actual bytes at simulated addresses.
+//
+// Backing stores are recycled: Release zeroes the prefix the arena ever
+// handed out and returns the backing to a package free list, from which
+// NewArena takes its next backing of the same size instead of asking the
+// Go runtime for (and zeroing) a fresh one. Release is the job of whoever
+// created the arena (for an engine workspace, whoever created the
+// context), once the last goroutine that could touch it has returned; an
+// arena nobody releases is simply garbage collected.
 type Arena struct {
 	base Addr
 	buf  []byte
 	off  uint64
+	// hi is the high-water mark of off as of the last Reset; HighWater
+	// folds in the current off.
+	hi uint64
 }
 
-// NewArena creates an arena of size bytes based at base.
+// backings is the free list of released backing stores, keyed by size.
+// A backing is only made when the list for its size is empty, so the
+// list never holds more backings than were live at once. Every backing
+// on it is all zero: a fresh one is, and Release clears the prefix
+// [0, high-water), the only part the engine ever writes (the workload
+// package's TestQueriesWriteBelowHighWater checks that condition).
+var backings = struct {
+	sync.Mutex
+	free map[int][][]byte
+}{free: make(map[int][][]byte)}
+
+// NewArena creates an arena of size bytes based at base. Its backing is
+// all zero, whether recycled or fresh.
 func NewArena(base Addr, size int) *Arena {
 	if size <= 0 {
 		panic(fmt.Sprintf("mem: invalid arena size %d", size))
 	}
-	return &Arena{base: base, buf: make([]byte, size)}
+	backings.Lock()
+	var buf []byte
+	if l := backings.free[size]; len(l) > 0 {
+		buf = l[len(l)-1]
+		l[len(l)-1] = nil
+		backings.free[size] = l[:len(l)-1]
+	}
+	backings.Unlock()
+	if buf == nil {
+		buf = make([]byte, size)
+	}
+	return &Arena{base: base, buf: buf}
 }
+
+// Release zeroes every byte the arena ever handed out and returns its
+// backing to the free list. The arena is unusable afterwards: Alloc,
+// Bytes and Raw see no backing, so a stale user panics instead of
+// touching memory another arena now owns. Releasing twice is a no-op.
+func (a *Arena) Release() {
+	if a.buf == nil {
+		return
+	}
+	clear(a.buf[:a.HighWater()])
+	backings.Lock()
+	backings.free[len(a.buf)] = append(backings.free[len(a.buf)], a.buf)
+	backings.Unlock()
+	a.buf, a.off, a.hi = nil, 0, 0
+}
+
+// HighWater returns the largest number of bytes the arena has had
+// allocated at once since it was made, across Resets.
+func (a *Arena) HighWater() int { return int(max(a.hi, a.off)) }
 
 // Base returns the arena's first simulated address.
 func (a *Arena) Base() Addr { return a.base }
@@ -66,6 +119,9 @@ func (a *Arena) Used() int { return int(a.off) }
 // simulated address of the reservation. It panics if the arena is
 // exhausted; callers size arenas for their workload up front.
 func (a *Arena) Alloc(n, align int) Addr {
+	if a.buf == nil {
+		panic("mem: Alloc on a released arena")
+	}
 	if n < 0 || align <= 0 || align&(align-1) != 0 {
 		panic(fmt.Sprintf("mem: bad Alloc(%d, %d)", n, align))
 	}
@@ -77,9 +133,9 @@ func (a *Arena) Alloc(n, align int) Addr {
 	return a.base + Addr(off)
 }
 
-// Reset discards all allocations, retaining the backing store. Workspaces
-// are reset between queries.
-func (a *Arena) Reset() { a.off = 0 }
+// Reset discards all allocations, retaining the backing store and its
+// contents (Reset does not zero). Workspaces are reset between queries.
+func (a *Arena) Reset() { a.hi, a.off = uint64(a.HighWater()), 0 }
 
 // Contains reports whether addr falls inside the arena.
 func (a *Arena) Contains(addr Addr) bool {
@@ -87,9 +143,10 @@ func (a *Arena) Contains(addr Addr) bool {
 }
 
 // Raw returns the arena's whole backing store and its base address. The
-// backing is allocated once and never moves, so native hot loops (hash
+// backing never moves while the arena is live, so native hot loops (hash
 // chain walks) can resolve simulated addresses with one subtraction
-// instead of a bounds-checked Bytes call per access.
+// instead of a bounds-checked Bytes call per access. After Release it
+// returns a nil backing.
 func (a *Arena) Raw() ([]byte, Addr) { return a.buf, a.base }
 
 // Bytes returns the host-memory view of the n simulated bytes at addr.
@@ -97,7 +154,7 @@ func (a *Arena) Raw() ([]byte, Addr) { return a.buf, a.base }
 // simulated memory.
 func (a *Arena) Bytes(addr Addr, n int) []byte {
 	off := uint64(addr - a.base)
-	if addr < a.base || off+uint64(n) > uint64(len(a.buf)) {
+	if addr < a.base || off+uint64(n) > uint64(len(a.buf)) || a.buf == nil {
 		panic(fmt.Sprintf("mem: out-of-arena access addr=%#x n=%d base=%#x size=%d", addr, n, a.base, len(a.buf)))
 	}
 	return a.buf[off : off+uint64(n) : off+uint64(n)]

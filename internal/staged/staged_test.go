@@ -80,12 +80,13 @@ func TestAffinityMatchesVolcano(t *testing.T) {
 
 func TestParallelMatchesAffinity(t *testing.T) {
 	db, tb := buildTable(t)
-	sinkCtx := db.NewCtx(nil, 2, 8<<20)
-	pl := pipelineFor(db, tb, sinkCtx)
+	// The sink's hash table gets an arena no worker allocates from:
+	// consumers absorb under the sink lock but grow packets without it.
+	pl := pipelineFor(db, tb, db.NewCtx(nil, 3, 8<<20))
 	ctxs := []*engine.Ctx{
 		db.NewCtx(nil, 0, 8<<20),
 		db.NewCtx(nil, 1, 8<<20),
-		sinkCtx,
+		db.NewCtx(nil, 2, 8<<20),
 	}
 	n, err := pl.RunParallel(ctxs)
 	if err != nil {

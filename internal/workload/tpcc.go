@@ -710,6 +710,7 @@ func (w *TPCC) RunOne(ctx *engine.Ctx, rng *rand.Rand, counts *MixCounts) error 
 func (w *TPCC) Client(rec *trace.Recorder, worker int, seed int64, limit int) (MixCounts, error) {
 	defer rec.Close()
 	ctx := w.DB.NewCtx(rec, worker, 2<<20)
+	defer ctx.Work.Release()
 	rng := rand.New(rand.NewSource(seed))
 	var counts MixCounts
 	for !rec.Stopped() {

@@ -505,6 +505,7 @@ func (h *TPCH) ClientRow(rec *trace.Recorder, worker int, seed int64, limit int)
 func (h *TPCH) client(rec *trace.Recorder, worker int, seed int64, limit int, run func(*engine.Ctx, int, QueryParams) ([][]engine.Value, error)) (int, error) {
 	defer rec.Close()
 	ctx := h.DB.NewCtx(rec, worker, 96<<20)
+	defer ctx.Work.Release()
 	qrng := rand.New(rand.NewSource(4242)) // shared query order
 	prng := rand.New(rand.NewSource(seed)) // private predicate parameters
 	ran := 0
@@ -535,6 +536,7 @@ func (h *TPCH) client(rec *trace.Recorder, worker int, seed int64, limit int, ru
 func (h *TPCH) RunOnce(rec *trace.Recorder, worker int, q int, seed int64, rowPlans bool) error {
 	defer rec.Close()
 	ctx := h.DB.NewCtx(rec, worker, 96<<20)
+	defer ctx.Work.Release()
 	rng := rand.New(rand.NewSource(seed))
 	if rowPlans {
 		_, err := h.RunQueryRow(ctx, q, RandomParams(rng))
